@@ -304,11 +304,15 @@ class FadesCampaign:
 
     def _restore_configuration(self) -> None:
         golden = self.impl.golden_bitstream
-        for addr in self.device.config.diff_frames(golden):
+        config = self.device.config
+        # Only frames written since the last restore can differ from
+        # golden (the Bitstream.dirty invariant), so only those are diffed.
+        for addr in config.diff_frames(golden, config.dirty_frames()):
             # Host-side cleanup between experiments; not part of the
             # emulated per-fault cost (the paper reloads state, not the
             # full file, between experiments).
             self.device.write_frame(addr, golden.get_frame(addr))
+        config.dirty.clear()
 
     # ------------------------------------------------------------------
     def run(self, spec: FaultLoadSpec, seed: Optional[int] = None

@@ -19,7 +19,8 @@ Two presets are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Tuple
 
 from ..errors import BitstreamError
 
@@ -108,6 +109,13 @@ class Architecture:
         self.cols = cols
         self.mem_blocks = mem_blocks
         self.mem_geometry = mem_geometry
+        # One shared address object per writable frame.  Frame and dirty
+        # lookups keyed by the same object hit the hash table's identity
+        # check instead of the dataclass ``__eq__``.
+        self._cb_addrs = [FrameAddr("cb", col) for col in range(cols)]
+        self._route_addrs = [FrameAddr("route", col) for col in range(cols)]
+        self._bram_addrs = [FrameAddr("bram", block)
+                            for block in range(mem_blocks)]
 
     # -- capacity -------------------------------------------------------
     @property
@@ -158,11 +166,13 @@ class Architecture:
 
     def config_frames(self) -> List[FrameAddr]:
         """Every writable configuration frame of the device."""
-        frames = [FrameAddr("cb", col) for col in range(self.cols)]
-        frames += [FrameAddr("route", col) for col in range(self.cols)]
-        frames += [FrameAddr("bram", block)
-                   for block in range(self.mem_blocks)]
-        return frames
+        return self._cb_addrs + self._route_addrs + self._bram_addrs
+
+    @cached_property
+    def frame_order(self) -> Dict[FrameAddr, int]:
+        """Position of each writable frame in :meth:`config_frames`."""
+        return {addr: position
+                for position, addr in enumerate(self.config_frames())}
 
     @property
     def full_config_bytes(self) -> int:
@@ -173,12 +183,12 @@ class Architecture:
     def cb_frame(self, row: int, col: int) -> Tuple[FrameAddr, int]:
         """Frame and byte offset of CB(row, col)'s configuration word."""
         self.check_site(row, col)
-        return FrameAddr("cb", col), row * CB_BYTES
+        return self._cb_addrs[col], row * CB_BYTES
 
     def pm_frame(self, row: int, col: int) -> Tuple[FrameAddr, int]:
         """Frame and byte offset of PM(row, col)'s pass-transistor bitmap."""
         self.check_site(row, col)
-        return FrameAddr("route", col), row * PM_BYTES
+        return self._route_addrs[col], row * PM_BYTES
 
     def bram_bit(self, block: int, addr: int,
                  bit: int) -> Tuple[FrameAddr, int, int]:
@@ -191,7 +201,7 @@ class Architecture:
                 f"bit ({addr},{bit}) outside a {geometry.depth}x"
                 f"{geometry.width} memory block")
         bit_index = addr * geometry.width + bit
-        return FrameAddr("bram", block), bit_index // 8, bit_index % 8
+        return self._bram_addrs[block], bit_index // 8, bit_index % 8
 
     def state_bit(self, row: int, col: int) -> Tuple[FrameAddr, int, int]:
         """Frame, byte and bit offset of a FF's captured state."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..errors import BitstreamError
 from .architecture import (CB_BYTES, CB_FLAGS, CB_FLAG_FF_D_EXTERNAL,
@@ -90,6 +90,14 @@ class Bitstream:
     :class:`~repro.fpga.architecture.FrameAddr`.  The image covers only the
     *writable* planes (CB, routing, memory contents); FF-state frames exist
     on the device but never inside a configuration file.
+
+    :attr:`dirty` collects the addresses of frames written through the
+    frame, CB, pass-transistor and memory-block setters since the owner
+    last cleared it.  A device's image starts as a copy of the golden
+    image with an empty set, so a frame outside :attr:`dirty` still
+    equals golden and restoring the golden configuration needs to look
+    at the dirty frames only.  :meth:`set_bit` does not mark: it is the
+    primitive the marking setters are built from.
     """
 
     def __init__(self, arch: Architecture):
@@ -97,6 +105,7 @@ class Bitstream:
         self.frames: Dict[FrameAddr, bytearray] = {
             addr: bytearray(arch.frame_size(addr))
             for addr in arch.config_frames()}
+        self.dirty: Set[FrameAddr] = set()
 
     # -- frame access ----------------------------------------------------
     def get_frame(self, addr: FrameAddr) -> bytes:
@@ -115,6 +124,11 @@ class Bitstream:
             raise BitstreamError(
                 f"frame {addr} is {len(frame)} bytes, got {len(data)}")
         frame[:] = data
+        self.dirty.add(addr)
+
+    def dirty_frames(self) -> List[FrameAddr]:
+        """The :attr:`dirty` addresses, in image (frame) order."""
+        return sorted(self.dirty, key=self.arch.frame_order.__getitem__)
 
     # -- bit-level helpers -------------------------------------------------
     def get_bit(self, addr: FrameAddr, byte_off: int, bit_off: int) -> int:
@@ -140,6 +154,7 @@ class Bitstream:
         """Encode *config* into CB(row, col)'s configuration word."""
         addr, offset = self.arch.cb_frame(row, col)
         self.frames[addr][offset:offset + CB_BYTES] = config.pack()
+        self.dirty.add(addr)
 
     # -- PM pass transistors -------------------------------------------------
     def get_pass_transistor(self, row: int, col: int, index: int) -> int:
@@ -152,6 +167,7 @@ class Bitstream:
         """Turn a pass transistor of PM(row, col) on or off."""
         addr, offset = self.arch.pm_frame(row, col)
         self.set_bit(addr, offset + index // 8, index % 8, value)
+        self.dirty.add(addr)
 
     def pm_used_count(self, row: int, col: int) -> int:
         """Number of pass transistors currently enabled in PM(row, col)."""
@@ -170,6 +186,7 @@ class Bitstream:
         """Write one bit of an embedded memory block's contents."""
         frame_addr, byte_off, bit_off = self.arch.bram_bit(block, addr, bit)
         self.set_bit(frame_addr, byte_off, bit_off, value)
+        self.dirty.add(frame_addr)
 
     def get_bram_word(self, block: int, addr: int) -> int:
         """Read a whole memory word from the configuration image."""
@@ -183,7 +200,10 @@ class Bitstream:
         """Write a whole memory word into the configuration image."""
         width = self.arch.mem_geometry.width
         for bit in range(width):
-            self.set_bram_bit(block, addr, bit, (value >> bit) & 1)
+            frame_addr, byte_off, bit_off = self.arch.bram_bit(block, addr,
+                                                               bit)
+            self.set_bit(frame_addr, byte_off, bit_off, (value >> bit) & 1)
+        self.dirty.add(frame_addr)
 
     # -- whole-image operations -------------------------------------------
     def copy(self) -> "Bitstream":
@@ -197,10 +217,17 @@ class Bitstream:
         """Size of the full configuration file."""
         return sum(len(frame) for frame in self.frames.values())
 
-    def diff_frames(self, other: "Bitstream") -> List[FrameAddr]:
-        """Frames whose contents differ between two images."""
-        return [addr for addr, frame in self.frames.items()
-                if bytes(frame) != bytes(other.frames[addr])]
+    def diff_frames(self, other: "Bitstream",
+                    addrs: Optional[Iterable[FrameAddr]] = None
+                    ) -> List[FrameAddr]:
+        """Frames whose contents differ between two images.
+
+        ``addrs`` limits the comparison to the listed frames (kept in
+        the order given); by default every frame is compared.
+        """
+        frames, others = self.frames, other.frames
+        return [addr for addr in (frames if addrs is None else addrs)
+                if frames[addr] != others[addr]]
 
     # -- configuration files -------------------------------------------
     # On-disk format: magic, device name, frame records (kind, major,

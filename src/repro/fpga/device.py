@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 from ..hdl.netlist import CONST0
-from .architecture import CMD_PULSE_GSR, FrameAddr
+from .architecture import (CB_BYTES, CB_TT_HI, CB_TT_LO, CMD_PULSE_GSR,
+                           FrameAddr)
 from .bitstream import Bitstream
 from .implement import Implementation
 
@@ -62,8 +63,16 @@ class Device:
         # readback or a full re-download always sees live contents.
         self._mem: Dict[int, List[int]] = {}
         self._block_of = dict(impl.placement.block_of_bram)
-        # Compiled LUT evaluation list; rebuilt per column on reconfig.
+        # Compiled LUT evaluation list; on reconfiguration only the
+        # rows of a CB column whose configuration word changed are
+        # re-decoded, found through the per-column (index, row) lists.
         self._compiled: List[Tuple[int, int, int, int, int, int]] = []
+        self._luts_by_col: Dict[int, List[Tuple[int, int]]] = {}
+        for lut_index, (row, col) in impl.placement.site_of_lut.items():
+            self._luts_by_col.setdefault(col, []).append((lut_index, row))
+        self._ffs_by_col: Dict[int, List[Tuple[int, int]]] = {}
+        for ff_index, (row, col) in impl.placement.site_of_ff.items():
+            self._ffs_by_col.setdefault(col, []).append((ff_index, row))
         self._lut_pad: List[Tuple[int, ...]] = []
         self._violating: Set[int] = set()
         self._timing_dirty = False
@@ -115,19 +124,26 @@ class Device:
             self._ff_state[ff_index] = cb.srval
             self._d_prev[ff_index] = cb.srval
 
-    def _recompile_column(self, col: int) -> None:
-        """Re-decode every placed resource in one CB column."""
-        placement = self.impl.placement
-        for lut_index, site in placement.site_of_lut.items():
-            if site[1] == col:
-                row = site[0]
-                tt = self.config.get_cb(row, col).tt
+    def _recompile_column(self, col: int, old: bytes) -> None:
+        """Re-decode one CB column after a write that replaced *old*.
+
+        Only the rows whose configuration word changed are re-decoded:
+        an unchanged word decodes to the state the device already holds.
+        """
+        frame = self.config.frames[FrameAddr("cb", col)]
+        rows = _changed_words(old, frame, CB_BYTES)
+        if not rows:
+            return
+        for lut_index, row in self._luts_by_col.get(col, ()):
+            if row in rows:
+                offset = row * CB_BYTES
+                tt = frame[offset + CB_TT_LO] | frame[offset + CB_TT_HI] << 8
                 ins = self._lut_pad[lut_index]
                 self._compiled[lut_index] = (
                     self.mapped.luts[lut_index].out, tt,
                     ins[0], ins[1], ins[2], ins[3])
-        for ff_index, site in placement.site_of_ff.items():
-            if site[1] == col:
+        for ff_index, row in self._ffs_by_col.get(col, ()):
+            if row in rows:
                 self._decode_ff(ff_index)
 
     def _expected_routes(self) -> None:
@@ -224,9 +240,10 @@ class Device:
             raise ConfigurationError(
                 "FF state frames are readback-only; use GSR/LSR "
                 "reconfiguration to change flip-flop contents")
+        old = self.config.get_frame(addr) if addr.kind == "cb" else None
         self.config.set_frame(addr, data)
-        if addr.kind == "cb":
-            self._recompile_column(addr.major)
+        if old is not None:
+            self._recompile_column(addr.major, old)
         elif addr.kind == "bram":
             for bram_index, block in (
                     self.impl.placement.block_of_bram.items()):
@@ -255,11 +272,9 @@ class Device:
             col = addr.major
             size = self.arch.frame_size(addr)
             data = bytearray(size)
-            for ff_index, site in self.impl.placement.site_of_ff.items():
-                if site[1] == col:
-                    row = site[0]
-                    if self._ff_state[ff_index]:
-                        data[row // 8] |= 1 << (row % 8)
+            for ff_index, row in self._ffs_by_col.get(col, ()):
+                if self._ff_state[ff_index]:
+                    data[row // 8] |= 1 << (row % 8)
             return bytes(data)
         return self.config.get_frame(addr)
 
@@ -450,3 +465,15 @@ class Device:
         for position, net in enumerate(nets):
             value |= self._values[net] << position
         return value
+
+
+def _changed_words(old: bytes, new: bytes, size: int) -> Set[int]:
+    """Indices of the *size*-byte words that differ between two frames."""
+    diff = int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
+    bits = 8 * size
+    words: Set[int] = set()
+    while diff:
+        word = ((diff & -diff).bit_length() - 1) // bits
+        words.add(word)
+        diff &= -1 << ((word + 1) * bits)
+    return words

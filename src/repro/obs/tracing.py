@@ -82,10 +82,15 @@ class Tracer:
     def reset(self, enabled: bool = False,
               tid: Optional[int] = None) -> None:
         """Drop all state (worker processes call this after ``fork`` so
-        events inherited from the parent are not double-reported)."""
+        events inherited from the parent are not double-reported).
+
+        The current-span variable is cleared too: a span the parent had
+        open at fork time is not the worker's, and its id could collide
+        with the worker's renumbered ones."""
         with self._lock:
             self._events = []
             self._next_id = 0
+        self._current.set(None)
         if tid is not None:
             self.tid = tid
         self.enabled = enabled

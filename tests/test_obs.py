@@ -81,6 +81,20 @@ class TestTracer:
         with tracer.span("b") as span_id:
             assert span_id == 1  # ids restart per process/stream
 
+    def test_reset_forgets_the_open_span(self):
+        # A forked worker inherits the parent's open span; after reset
+        # its spans must be roots, not children of that foreign id.
+        tracer = Tracer(clock=FakeClock())
+        tracer.enable()
+        with tracer.span("parent-phase"):
+            tracer.reset(enabled=True, tid=2)
+            with tracer.span("experiment") as root:
+                with tracer.span("run"):
+                    pass
+        events = {event["name"]: event for event in tracer.events}
+        assert events["experiment"]["args"]["parent"] is None
+        assert events["run"]["args"]["parent"] == root
+
     def test_drain_and_adopt_merge_worker_streams(self):
         worker = Tracer(clock=FakeClock(), tid=2)
         worker.enable()
