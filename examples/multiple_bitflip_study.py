@@ -14,7 +14,8 @@ Run:  python examples/multiple_bitflip_study.py
 from collections import Counter
 
 from repro.analysis import Evaluation, generate_table4, render_table4
-from repro.core import Fault, FaultModel, Target, TargetKind
+from repro.core import (Fault, FaultModel, Target, TargetKind,
+                        pulse_equivalent_mbu)
 
 
 def flip_width_distribution(evaluation, sample=40, probes=3):
@@ -24,7 +25,6 @@ def flip_width_distribution(evaluation, sample=40, probes=3):
     strikes, which is the paper's point about needing the distribution).
     """
     fades = evaluation.fades
-    device = fades.device
     cycles = evaluation.cycles
     probe_cycles = [max(4, cycles * (k + 1) // (probes + 2))
                     for k in range(probes)]
@@ -34,27 +34,10 @@ def flip_width_distribution(evaluation, sample=40, probes=3):
     # Dense coverage of the early (control/decode) LUTs, strided beyond.
     indices = sorted(set(range(min(16, n_luts)))
                      | set(range(0, n_luts, step)))
-    goldens = {}
-    for cycle in probe_cycles:
-        device.reset_system()
-        device.run(cycle + 1)
-        goldens[cycle] = device.ff_state()
     for lut_index in indices:
-        worst = 0
-        for cycle in probe_cycles:
-            fault = Fault(FaultModel.PULSE,
-                          Target(TargetKind.LUT, lut_index),
-                          cycle, duration_cycles=1.0)
-            device.reset_system()
-            injection = fades.injector.prepare(fault)
-            device.run(cycle)
-            injection.inject()
-            device.step()
-            injection.remove()
-            flipped = sum(1 for a, b in zip(goldens[cycle],
-                                            device.ff_state()) if a != b)
-            worst = max(worst, flipped)
-            fades._restore_configuration()
+        worst = max(len(pulse_equivalent_mbu(fades, lut_index,
+                                             cycle).flipped_ffs)
+                    for cycle in probe_cycles)
         widths[worst] += 1
     return widths
 
@@ -84,8 +67,6 @@ def main() -> None:
 def demonstrate_mbu_equivalence(evaluation, sample=12):
     """Close the paper's loop: once a pulse's bit-flip footprint is known,
     the equivalent MBU reproduces its outcome exactly."""
-    from repro.core import pulse_equivalent_mbu
-
     fades = evaluation.fades
     cycles = evaluation.cycles
     probe = max(4, cycles // 3)

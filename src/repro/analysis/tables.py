@@ -8,9 +8,9 @@ the shape assertions recorded in ``DESIGN.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core import (FaultModel, Target, TargetKind)
+from ..core import FaultModel, Target, TargetKind, pulse_equivalent_mbu
 from ..core.faults import Fault
 from ..errors import UnsupportedFaultError
 from .experiments import (Evaluation, PAPER_FAULTS_PER_EXPERIMENT,
@@ -257,48 +257,34 @@ def generate_table4(evaluation: Evaluation,
     the occurrence of a bit-flip in many of these FFs".
     """
     fades = evaluation.fades
-    device = fades.device
     locmap = fades.locmap
     registers = [name for name in evaluation.model.register_signals
                  if name in locmap.signals]
 
-    def register_values() -> Dict[str, int]:
+    def register_values(ffs: Sequence[int]) -> Dict[str, int]:
         values = {}
         for name in registers:
             bits = locmap.signals[name].bits
-            value = 0
-            ok = True
-            for position, bit in enumerate(bits):
-                if bit.kind != "ff":
-                    ok = False
-                    break
-                value |= device.ff_state()[bit.index] << position
-            if ok:
-                values[name] = value
+            if all(bit.kind == "ff" for bit in bits):
+                values[name] = sum(ffs[bit.index] << position
+                                   for position, bit in enumerate(bits))
         return values
 
     candidates = (locmap.luts_in_unit("MEM") + locmap.luts_in_unit("FSM")
                   + locmap.luts_in_unit("ALU"))
     inject_cycle = max(4, evaluation.cycles // 3)
+    # Golden register snapshot one cycle after the injection point.
+    golden_ffs = fades.golden_run(inject_cycle + 1).final_state[0]
+    golden = register_values(golden_ffs)
     rows: List[MultipleBitflipRow] = []
     for lut_index in candidates:
         if len(rows) >= max_rows:
             break
-        # Golden register snapshot one cycle after the injection point.
-        device.reset_system()
-        device.run(inject_cycle + 1)
-        golden = register_values()
-        # Faulty run: one-cycle pulse on the LUT output at inject_cycle.
-        fault = Fault(FaultModel.PULSE, Target(TargetKind.LUT, lut_index),
-                      inject_cycle, duration_cycles=1.0)
-        device.reset_system()
-        injection = fades.injector.prepare(fault)
-        device.run(inject_cycle)
-        injection.inject()
-        device.step()
-        injection.remove()
-        faulty = register_values()
-        fades._restore_configuration()
+        # One-cycle pulse on the LUT output at inject_cycle.
+        flipped = set(pulse_equivalent_mbu(fades, lut_index,
+                                           inject_cycle).flipped_ffs)
+        faulty = register_values([value ^ (index in flipped)
+                                  for index, value in enumerate(golden_ffs)])
         affected = [(name, golden[name], faulty[name])
                     for name in golden if golden[name] != faulty[name]]
         if len(affected) >= 2:

@@ -10,8 +10,13 @@ Each experiment follows the figure exactly::
     workload execution            (until the experiment end time)
     observation -> analysis of results
 
-The observation process records the primary outputs every cycle plus the
-final architectural state; classification against the golden run follows
+:meth:`FadesCampaign.drive` is that loop, written once.  It owns the
+reconfiguration half (injector, board log, ``reconfigure`` spans, cost) and
+hands the workload-execution half to an executor: :class:`DeviceRun`
+steps the reference device here, and :mod:`repro.emu.backend` schedules
+the same hooks as operations on one bit-lane of a batch.  The observation
+process records the primary outputs every cycle plus the final
+architectural state; classification against the golden run follows
 :mod:`repro.core.classify`.
 """
 
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..fpga.board import Board
 from ..fpga.device import Device
@@ -71,8 +76,6 @@ class CampaignResult:
     spec_label: str
     golden: Trace
     experiments: List[ExperimentResult] = field(default_factory=list)
-    mean_emulation_s: float = 0.0
-    total_emulation_s: float = 0.0
     #: Stopping decision of an adaptive campaign (reason, achieved n,
     #: Wilson intervals — see :mod:`repro.faultload.sequential`); None
     #: for fixed-budget campaigns.
@@ -103,10 +106,85 @@ class CampaignResult:
         return sum(1 for experiment in self.experiments
                    if experiment.collapsed_from is not None)
 
+    def emulated(self) -> List[ExperimentResult]:
+        """Experiments that actually ran on the device, in fault order:
+        not pruned, not collapsed onto a representative, not quarantined
+        (those records carry zero cost — the board never completed
+        them)."""
+        return [experiment for experiment in self.experiments
+                if not experiment.pruned and not experiment.quarantined
+                and experiment.collapsed_from is None]
+
     def emulated_count(self) -> int:
         """Experiments that actually ran on the device."""
-        return (len(self.experiments) - self.pruned_count()
-                - self.collapsed_count())
+        return len(self.emulated())
+
+    @property
+    def total_emulation_s(self) -> float:
+        """Emulated seconds of the experiments that ran."""
+        return sum(experiment.cost.total_s
+                   for experiment in self.emulated())
+
+    @property
+    def mean_emulation_s(self) -> float:
+        """Mean emulated seconds per experiment that ran."""
+        count = self.emulated_count()
+        return self.total_emulation_s / count if count else 0.0
+
+
+class DeviceRun:
+    """Workload executor of the reference backend: steps the device.
+
+    :meth:`FadesCampaign.drive` calls the hooks in figure-1 order —
+    ``begin`` (the context the run executes in), ``advance`` to the
+    injection instant, ``inject``, one ``tick`` per fault-window cycle,
+    ``advance`` to the end, then ``observe`` — and this executor turns
+    them into device steps recorded on :attr:`trace`.
+    """
+
+    def __init__(self, campaign: "FadesCampaign", cycles: int):
+        self.campaign = campaign
+        self.device = campaign.device
+        self.cycles = cycles
+        self.cycle = 0
+        self.trace = Trace(tuple(self.device.mapped.outputs))
+
+    def begin(self, start: int):
+        """Reset, or fast-forward over the fault-free prefix when a golden
+        checkpoint at or before the injection instant is available."""
+        campaign = self.campaign
+        key = campaign._golden_key(self.cycles)
+        checkpoints = campaign._checkpoints.get(key) or {}
+        golden = campaign._golden.get(key)
+        usable = [c for c in checkpoints if c <= start]
+        if usable and golden is not None and start > 0:
+            self.cycle = max(usable)
+            self.device.load_state(checkpoints[self.cycle])
+            self.trace.samples = list(golden.samples[:self.cycle])
+        else:
+            self.device.reset_system()
+        return span("run", cycles=self.cycles, first_cycle=self.cycle,
+                    backend="reference")
+
+    def advance(self, cycle: int) -> None:
+        """Step the workload up to (not including) *cycle*."""
+        step = self.device.step
+        record = self.trace.record
+        inputs = self.campaign.inputs
+        for current in range(self.cycle, cycle):
+            record(step(inputs if current == 0 else None))
+        self.cycle = max(self.cycle, cycle)
+
+    def inject(self, injection, start: int, active: range) -> None:
+        """The injected configuration is live on the device already."""
+
+    def tick(self, injection, cycle: int) -> None:
+        """Step one fault-window cycle under the injected fault."""
+        self.advance(cycle + 1)
+
+    def observe(self) -> None:
+        self.trace.final_state = self.device.state_snapshot()
+        self.trace.cycles = self.cycles
 
 
 class FadesCampaign:
@@ -204,6 +282,67 @@ class FadesCampaign:
         return trace
 
     # ------------------------------------------------------------------
+    def drive(self, fault: Fault, cycles: int, pool: int,
+              run) -> ExperimentCost:
+        """One experiment of figure 1 with *run* executing the workload.
+
+        The reconfiguration half is the same for every executor: prepare
+        the injection, inject at the (clamped) start cycle, tick every
+        cycle of the fault window, remove a transient fault after it,
+        price the board transactions, and restore the golden image.  The
+        executor's hooks (see :class:`DeviceRun`) say what the workload
+        does around those points.  Returns the experiment's cost; the
+        device ends restored to golden.
+        """
+        board = self.board
+        marker = board.snapshot()
+        board.set_label(fault.model.value)
+        injection = self.injector.prepare(fault)
+        mechanism = injection.mechanism_label or fault.model.value
+        if fault.duration_cycles >= 1.0:
+            window = fault.whole_cycles
+        else:
+            window = 1 if fault.straddles_edge else 0
+        start = min(fault.start_cycle, max(0, cycles - 1))
+        active = range(start, min(start + window, cycles))
+        transient = fault.model.transient
+
+        with run.begin(start):
+            run.advance(start)
+            with span("reconfigure", mechanism=mechanism, op="inject"):
+                injection.inject()
+            run.inject(injection, start, active)
+            if window == 0 and transient:
+                with span("reconfigure", mechanism=mechanism, op="remove"):
+                    injection.remove()
+            for offset, cycle in enumerate(active):
+                injection.tick(offset)
+                run.tick(injection, cycle)
+            if window and transient:
+                with span("reconfigure", mechanism=mechanism, op="remove"):
+                    injection.remove()
+            run.advance(cycles)
+        # Emulated board seconds this experiment spent on the link: every
+        # injection/removal transaction since the marker (the host-side
+        # golden restore below bypasses the board, so it never counts).
+        cost = self.time_model.experiment_cost(marker, cycles, pool)
+        _RECONFIG_SECONDS.observe(cost.transfer_s, mechanism=mechanism)
+        with span("readback", mechanism=mechanism):
+            run.observe()
+            # Restore the golden image for persistent faults (bit-flips
+            # and permanent models leave frames modified) *before* any
+            # golden run can execute on this device.
+            self._restore_configuration()
+        return cost
+
+    def faulty_run(self, fault: Fault, cycles: int,
+                   pool: int = 0) -> Tuple[Trace, ExperimentCost]:
+        """Figure 1 on the reference device, without classification:
+        the faulty trace (outputs plus final state) and its cost."""
+        run = DeviceRun(self, cycles)
+        cost = self.drive(fault, cycles, pool, run)
+        return run.trace, cost
+
     def run_experiment(self, fault: Fault, cycles: int, pool: int = 0,
                        index: Optional[int] = None) -> ExperimentResult:
         """One experiment of figure 1; device ends restored to golden.
@@ -214,93 +353,15 @@ class FadesCampaign:
         """
         with span("experiment", index=index, model=fault.model.value,
                   target=fault.target.kind.value, backend="reference"):
-            return self._run_experiment(fault, cycles, pool)
-
-    def _run_experiment(self, fault: Fault, cycles: int,
-                        pool: int) -> ExperimentResult:
-        device = self.device
-        marker = self.time_model.begin_experiment()
-        board_marker = self.board.snapshot()
-        self.board.set_label(fault.model.value)
-
-        injection = self.injector.prepare(fault)
-        mechanism = (getattr(injection, "mechanism_label", "")
-                     or fault.model.value)
-        if fault.duration_cycles >= 1.0:
-            window = fault.whole_cycles
-        else:
-            window = 1 if fault.straddles_edge else 0
-        start = min(fault.start_cycle, max(0, cycles - 1))
-
-        # Fast-forward over the fault-free prefix when a golden checkpoint
-        # at or before the injection instant is available.
-        first_cycle = 0
-        trace = Trace(tuple(device.mapped.outputs))
-        checkpoints = self._checkpoints.get(self._golden_key(cycles))
-        golden_cached = self._golden.get(self._golden_key(cycles))
-        if checkpoints and golden_cached is not None and start > 0:
-            usable = [c for c in checkpoints if c <= start]
-            if usable:
-                first_cycle = max(usable)
-                device.load_state(checkpoints[first_cycle])
-                trace.samples = list(golden_cached.samples[:first_cycle])
-            else:
-                device.reset_system()
-        else:
-            device.reset_system()
-
-        removed = False
-        injected = False
-        with span("run", cycles=cycles, first_cycle=first_cycle,
-                  backend="reference"):
-            for cycle in range(first_cycle, cycles):
-                if cycle == start:
-                    with span("reconfigure", mechanism=mechanism,
-                              op="inject"):
-                        injection.inject()
-                    injected = True
-                    if window == 0 and fault.model.transient:
-                        with span("reconfigure", mechanism=mechanism,
-                                  op="remove"):
-                            injection.remove()
-                        removed = True
-                if (injected and not removed
-                        and start <= cycle < start + window):
-                    injection.tick(cycle - start)
-                trace.record(device.step(self.inputs if cycle == 0
-                                         else None))
-                if (injected and not removed and fault.model.transient
-                        and cycle >= start + window - 1):
-                    with span("reconfigure", mechanism=mechanism,
-                              op="remove"):
-                        injection.remove()
-                    removed = True
-            if injected and not removed and fault.model.transient:
-                with span("reconfigure", mechanism=mechanism, op="remove"):
-                    injection.remove()
-        # Emulated board seconds this experiment spent on the link: every
-        # injection/removal transaction since the marker (the host-side
-        # golden restore below bypasses the board, so it never counts).
-        _RECONFIG_SECONDS.observe(self.board.since(board_marker)[1],
-                                  mechanism=mechanism)
-
-        with span("readback", mechanism=mechanism):
-            trace.final_state = device.state_snapshot()
-            trace.cycles = cycles
-            # Restore the golden image for persistent faults (bit-flips
-            # and permanent models leave frames modified) *before* any
-            # golden run can execute on this device.
-            self._restore_configuration()
-
-        golden = self.golden_run(cycles)
-        cost = self.time_model.end_experiment(marker, cycles, pool)
-        with span("classify", backend="reference"):
-            outcome = classify(golden, trace)
-            first_divergence = trace.first_divergence(golden)
-        _EXPERIMENTS.inc(outcome=outcome.value)
-        return ExperimentResult(
-            fault=fault, outcome=outcome, cost=cost,
-            first_divergence=first_divergence)
+            trace, cost = self.faulty_run(fault, cycles, pool)
+            golden = self.golden_run(cycles)
+            with span("classify", backend="reference"):
+                outcome = classify(golden, trace)
+                first_divergence = trace.first_divergence(golden)
+            _EXPERIMENTS.inc(outcome=outcome.value)
+            return ExperimentResult(
+                fault=fault, outcome=outcome, cost=cost,
+                first_divergence=first_divergence)
 
     def _restore_configuration(self) -> None:
         golden = self.impl.golden_bitstream
@@ -340,8 +401,12 @@ class FadesCampaign:
         """
         if self.backend == "compiled":
             from ..emu import run_lane_batch
-            return run_lane_batch(self, faults, cycles, pool=pool,
-                                  indices=indices, reseed=reseed)
+            batched = run_lane_batch(self, faults, cycles, pool=pool,
+                                     indices=indices, reseed=reseed)
+            if batched is not None:
+                return batched
+            # Compilation failed: the campaign is now on the reference
+            # backend; run every fault below, in order.
         results: List[ExperimentResult] = []
         for position, fault in enumerate(faults):
             index = indices[position] if indices is not None else position
@@ -415,21 +480,14 @@ class FadesCampaign:
         """Run a pre-generated fault list.
 
         With :attr:`prune_silent` the list first passes through
-        :meth:`static_plan`; mean emulation time is computed over the
-        experiments that actually ran (pruned and collapsed records
-        carry zero cost — the board never saw them).
+        :meth:`static_plan`.
         """
         golden = self.golden_run(cycles)
         result = CampaignResult(spec_label=label, golden=golden)
-        start_index = len(self.time_model.costs)
         if self.prune_silent:
             result.experiments = self._run_pruned(faults, cycles, pool)
         else:
             result.experiments = self.run_batch(faults, cycles, pool=pool)
-        costs = self.time_model.costs[start_index:]
-        result.total_emulation_s = sum(cost.total_s for cost in costs)
-        if costs:
-            result.mean_emulation_s = result.total_emulation_s / len(costs)
         return result
 
     # ------------------------------------------------------------------

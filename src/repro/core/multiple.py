@@ -142,25 +142,17 @@ def pulse_equivalent_mbu(campaign, lut_index: int,
 
     "It will be necessary to perform several experiments to determine how
     each fault model could be emulated by means of a multiple bit-flip" —
-    this is that experiment, automated.
+    this is that experiment, automated: the pulse runs through the
+    campaign's own figure-1 protocol and workload, and its flip-flop state
+    one cycle after the probe point is compared with the golden run's.
     """
-    device = campaign.device
-    # Golden flip-flop state one cycle after the probe point.
-    device.reset_system()
-    device.run(cycle + 1)
-    golden = device.ff_state()
-    # Pulse run.
     fault = Fault(FaultModel.PULSE, Target(TargetKind.LUT, lut_index),
                   cycle, duration_cycles=1.0)
-    device.reset_system()
-    injection = campaign.injector.prepare(fault)
-    device.run(cycle)
-    injection.inject()
-    device.step()
-    injection.remove()
+    golden = campaign.golden_run(cycle + 1).final_state[0]
+    faulty, _cost = campaign.faulty_run(fault, cycle + 1)
     flipped = tuple(index for index, (a, b)
-                    in enumerate(zip(golden, device.ff_state())) if a != b)
-    campaign._restore_configuration()
+                    in enumerate(zip(golden, faulty.final_state[0]))
+                    if a != b)
     # The pulse corrupts the state captured at the END of `cycle`; a
     # bit-flip injected at `cycle + 1` flips exactly that state before
     # the next evaluation, so the two runs align cycle for cycle.

@@ -20,7 +20,6 @@ All times are *emulated 2006-era* seconds; nothing sleeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 from ..fpga.board import Board
 
@@ -53,54 +52,22 @@ class ExperimentCost:
 
 
 class EmulationTimeModel:
-    """Accumulates per-experiment costs from the board log."""
+    """Prices one experiment from the board log and the cost constants."""
 
     def __init__(self, board: Board,
                  params: FadesTimingParams = FadesTimingParams()):
         self.board = board
         self.params = params
-        self.costs: List[ExperimentCost] = []
 
-    def begin_experiment(self):
-        """Marker for the transfer log; pass the result to :meth:`end`."""
-        return self.board.snapshot()
-
-    def end_experiment(self, marker, cycles: int,
-                       pool_size: int) -> ExperimentCost:
-        """Close one experiment and record its cost breakdown."""
+    def experiment_cost(self, marker, cycles: int,
+                        pool_size: int) -> ExperimentCost:
+        """Cost breakdown of the experiment begun at board *marker*
+        (a :meth:`~repro.fpga.board.Board.snapshot`)."""
         transactions, transfer_s = self.board.since(marker)
-        cost = ExperimentCost(
+        return ExperimentCost(
             locate_s=self.params.locate_seconds_per_candidate * pool_size,
             transfer_s=transfer_s,
             workload_s=self.board.workload_seconds(cycles),
             overhead_s=self.params.experiment_overhead_s,
             transactions=transactions,
         )
-        self.costs.append(cost)
-        return cost
-
-    # -- aggregation -------------------------------------------------------
-    @property
-    def total_seconds(self) -> float:
-        """Emulated wall-clock of the whole campaign."""
-        return sum(cost.total_s for cost in self.costs)
-
-    def mean_seconds(self) -> float:
-        """Mean emulated time per experiment."""
-        if not self.costs:
-            return 0.0
-        return self.total_seconds / len(self.costs)
-
-    def breakdown(self) -> Dict[str, float]:
-        """Campaign-level totals per cost component."""
-        return {
-            "locate_s": sum(c.locate_s for c in self.costs),
-            "transfer_s": sum(c.transfer_s for c in self.costs),
-            "workload_s": sum(c.workload_s for c in self.costs),
-            "overhead_s": sum(c.overhead_s for c in self.costs),
-        }
-
-    def project(self, n_faults: int) -> float:
-        """Extrapolate the mean per-fault cost to a campaign of *n_faults*
-        (used to quote paper-scale numbers: 3000 faults per experiment)."""
-        return self.mean_seconds() * n_faults

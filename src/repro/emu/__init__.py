@@ -21,12 +21,13 @@ The subsystem has three layers:
     loop that produces failure/latent masks plus the lane-0 trace.
 
 :mod:`repro.emu.backend`
-    The campaign adapter: translates prepared
-    :class:`~repro.core.injector.Injection` mechanisms into lane
-    operations while replaying their reconfiguration protocol against
-    the reference device — so emulated board costs, injector RNG
-    consumption and timing-violation sets stay bit-identical to the
-    reference backend.
+    The campaign adapter: a workload executor for the campaign's one
+    figure-1 driver (:meth:`~repro.core.campaign.FadesCampaign.drive`)
+    that turns the driver's hooks into lane operations instead of device
+    steps.  The reconfiguration protocol itself is the driver's, shared
+    with the reference backend — so emulated board costs, injector RNG
+    consumption and timing-violation sets are the reference backend's by
+    construction.
 """
 
 from .backend import lane_width, run_lane_batch, supports_fault

@@ -1,29 +1,30 @@
-"""Campaign adapter: translate prepared injections into lane operations.
+"""Campaign adapter: the compiled backend's workload executor.
 
-The adapter keeps the compiled backend *protocol-identical* to the
-reference backend: for every fault it still builds the real
-:class:`~repro.core.injector.Injection` and drives its ``inject`` /
+Every experiment goes through the one figure-1 driver,
+:meth:`~repro.core.campaign.FadesCampaign.drive`, which prepares the real
+:class:`~repro.core.injector.Injection` and runs its ``inject`` /
 ``tick`` / ``remove`` hooks against the reference device — so board
 transactions (and therefore the emulated Table 2 costs), injector RNG
-consumption, and delay-fault timing analysis are bit-identical to the
-reference path.  What it *skips* is the per-experiment workload
-execution: the injection's behavioural effect is translated into
-lane-masked operations on a :class:`~repro.emu.lanes.BatchSchedule`, and
-one lane-engine pass evaluates up to ``lane_width() - 1`` experiments
-against the golden run in lane 0.
+consumption, and delay-fault timing analysis are the reference backend's
+by construction.  What differs is the executor: where the reference
+:class:`~repro.core.campaign.DeviceRun` steps the device, the
+:class:`LaneRun` here turns the same hooks into lane-masked operations on
+a :class:`~repro.emu.lanes.BatchSchedule`, and one lane-engine pass
+evaluates up to ``lane_width() - 1`` experiments against the golden run
+in lane 0.
 
 Faults whose effect cannot be expressed as lane operations
-(configuration-memory upsets, permanent models) fall back to the
-reference experiment loop, interleaved in fault order so randomiser
-streams stay aligned.
+(configuration-memory upsets, permanent models) take the reference
+executor, interleaved in fault order so randomiser streams stay aligned.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from typing import Callable, List, Optional, Sequence
 
-from ..core.campaign import _EXPERIMENTS, _RECONFIG_SECONDS, ExperimentResult
+from ..core.campaign import _EXPERIMENTS, ExperimentResult
 from ..core.classify import Outcome
 from ..core.faults import Fault, FaultModel, TargetKind
 from ..core.injector import invert_lut_line, stuck_lut_line
@@ -126,134 +127,115 @@ def compiled_golden(campaign, cycles: int) -> Optional[Trace]:
     return trace
 
 
-def _replay(campaign, fault: Fault, cycles: int, lane: int,
-            schedule: BatchSchedule, pool: int):
-    """Drive one fault's reconfiguration protocol; schedule its lane ops.
+class LaneRun:
+    """Workload executor of the compiled backend: one lane of a batch.
 
-    Follows ``FadesCampaign._run_experiment`` transaction for
-    transaction — same injection object, same ``reconfigure`` spans, same
-    board log, same time-model bookkeeping — with the workload stepping
-    replaced by operations on *schedule* for *lane*.
+    Implements the hooks of :class:`~repro.core.campaign.DeviceRun`, but
+    instead of stepping the device it schedules each hook's behavioural
+    effect on *schedule* for *lane*; the lane engine runs the workload
+    later, for the whole batch at once.
     """
-    device = campaign.device
-    marker = campaign.time_model.begin_experiment()
-    board_marker = campaign.board.snapshot()
-    campaign.board.set_label(fault.model.value)
 
-    injection = campaign.injector.prepare(fault)
-    mechanism = (getattr(injection, "mechanism_label", "")
-                 or fault.model.value)
-    if fault.duration_cycles >= 1.0:
-        window = fault.whole_cycles
-    else:
-        window = 1 if fault.straddles_edge else 0
-    start = min(fault.start_cycle, max(0, cycles - 1))
-    active = range(start, min(start + window, cycles))
+    def __init__(self, device, schedule: BatchSchedule, lane: int):
+        self.device = device
+        self.schedule = schedule
+        self.lane = lane
 
-    with span("reconfigure", mechanism=mechanism, op="inject"):
-        injection.inject()
-    removed = False
-    if window == 0 and fault.model.transient:
-        with span("reconfigure", mechanism=mechanism, op="remove"):
-            injection.remove()
-        removed = True
+    def begin(self, start: int):
+        return nullcontext()
 
-    model = fault.model
-    if model is FaultModel.BITFLIP:
-        for target in fault.all_targets:
-            if target.kind is TargetKind.FF:
-                schedule.xor_ff(start, target.index, lane)
-            else:
-                schedule.flip_mem(start, target.index, target.addr,
-                                  target.bit, lane)
-    elif model is FaultModel.PULSE:
-        if fault.target.kind is TargetKind.LUT:
-            if active:
-                faulty_tt = invert_lut_line(injection.golden.tt,
-                                            fault.target.line)
+    def advance(self, cycle: int) -> None:
+        """Fault-free cycles need no lane operations."""
+
+    def inject(self, injection, start: int, active: range) -> None:
+        """Schedule the effect of a fault that holds for the window."""
+        fault = injection.fault
+        target = fault.target
+        model = fault.model
+        schedule, lane = self.schedule, self.lane
+        if model is FaultModel.BITFLIP:
+            for flipped in fault.all_targets:
+                if flipped.kind is TargetKind.FF:
+                    schedule.xor_ff(start, flipped.index, lane)
+                else:
+                    schedule.flip_mem(start, flipped.index, flipped.addr,
+                                      flipped.bit, lane)
+        elif model is FaultModel.PULSE:
+            if target.kind is TargetKind.LUT:
+                if active:
+                    faulty_tt = invert_lut_line(injection.golden.tt,
+                                                target.line)
+                    for cycle in active:
+                        schedule.override(cycle, target.index, lane,
+                                          faulty_tt)
+            else:  # CB_INPUT: the capture inverter on the FF's data path
                 for cycle in active:
-                    schedule.override(cycle, fault.target.index, lane,
-                                      faulty_tt)
-        else:  # CB_INPUT: the capture inverter on the FF's data path
+                    schedule.invert_capture(cycle, target.index, lane)
+        elif model is FaultModel.DELAY:
+            # The injected loads/detour are live now; the device's timing
+            # analysis says which flip-flops miss setup while they persist.
+            violating = sorted(self.device._violating)
             for cycle in active:
-                schedule.invert_capture(cycle, fault.target.index, lane)
-    elif model is FaultModel.DELAY:
-        # The injected loads/detour are live now; the device's timing
-        # analysis says which flip-flops miss setup while they persist.
-        violating = sorted(device._violating)
-        for cycle in active:
-            for ff in violating:
-                schedule.violating_capture(cycle, ff, lane)
-    else:  # INDETERMINATION
-        if fault.target.kind is TargetKind.FF:
-            if not active:
-                # Sub-cycle, no capture edge: the asynchronous LSR force
-                # lands and is released before the next evaluation.
-                schedule.set_ff(start, fault.target.index, lane,
-                                injection.value)
-            for offset, cycle in enumerate(active):
-                injection.tick(offset)
-                schedule.set_ff(cycle, fault.target.index, lane,
-                                injection.value)
-                schedule.pin_capture(cycle, fault.target.index, lane,
-                                     injection.value)
-        else:  # LUT
-            golden_tt = injection.golden.tt if active else 0
-            for offset, cycle in enumerate(active):
-                injection.tick(offset)
-                schedule.override(
-                    cycle, fault.target.index, lane,
-                    stuck_lut_line(golden_tt, fault.target.line,
-                                   injection.value))
-    if not removed and fault.model.transient:
-        with span("reconfigure", mechanism=mechanism, op="remove"):
-            injection.remove()
+                for ff in violating:
+                    schedule.violating_capture(cycle, ff, lane)
+        elif target.kind is TargetKind.FF and not active:
+            # Sub-cycle FF indetermination, no capture edge: the
+            # asynchronous LSR force lands and is released before the
+            # next evaluation.  (Window cycles are scheduled per tick.)
+            schedule.set_ff(start, target.index, lane, injection.value)
 
-    _RECONFIG_SECONDS.observe(campaign.board.since(board_marker)[1],
-                              mechanism=mechanism)
-    with span("readback", mechanism=mechanism):
-        campaign._restore_configuration()
-    return campaign.time_model.end_experiment(marker, cycles, pool)
+    def tick(self, injection, cycle: int) -> None:
+        """Schedule an indetermination's level for one window cycle (the
+        randomiser may have re-drawn it in ``Injection.tick``)."""
+        fault = injection.fault
+        if fault.model is not FaultModel.INDETERMINATION:
+            return
+        target = fault.target
+        if target.kind is TargetKind.FF:
+            self.schedule.set_ff(cycle, target.index, self.lane,
+                                 injection.value)
+            self.schedule.pin_capture(cycle, target.index, self.lane,
+                                      injection.value)
+        else:  # LUT
+            self.schedule.override(
+                cycle, target.index, self.lane,
+                stuck_lut_line(injection.golden.tt, target.line,
+                               injection.value))
+
+    def observe(self) -> None:
+        """Outcomes come from the batch's lane masks, not the device."""
 
 
 def run_lane_batch(campaign, faults: Sequence[Fault], cycles: int,
                    pool: int = 0,
                    indices: Optional[Sequence[int]] = None,
                    reseed: Optional[Callable[[int], None]] = None
-                   ) -> List[ExperimentResult]:
+                   ) -> Optional[List[ExperimentResult]]:
     """Run a fault list through the lane engine; results in fault order.
 
     ``indices`` carries each fault's campaign index (observability
     metadata, and the argument handed to ``reseed``); ``reseed`` is the
     runtime's per-experiment injector re-seeding hook.  Faults are
     processed strictly in order — supported ones accumulate into lane
-    batches, unsupported ones run through the reference experiment loop
-    in place — so injector randomiser consumption matches the reference
-    backend exactly.
+    batches, unsupported ones run through the reference experiment in
+    place — so injector randomiser consumption matches the reference
+    backend exactly.  Returns ``None`` when the design cannot be
+    compiled: the campaign is then degraded to the reference backend and
+    the caller runs the list there.
     """
     results: List[Optional[ExperimentResult]] = [None] * len(faults)
     campaign.golden_run(cycles)
     design = (compile_or_fallback(campaign)
               if campaign.backend == "compiled" else None)
     if design is None:
-        # Compilation failed (or the golden run already degraded the
-        # campaign): run every fault through the reference loop, in
-        # order, so randomiser streams stay aligned.
-        for position, fault in enumerate(faults):
-            index = indices[position] if indices is not None else position
-            if reseed is not None:
-                reseed(index)
-            _LANE_FAULTS.inc(mode="fallback")
-            results[position] = campaign.run_experiment(
-                fault, cycles, pool=pool, index=index)
-        return results  # type: ignore[return-value]
+        return None
     width = lane_width()
     # A device whose *golden* configuration already has timing violations
     # or broken routes is outside the compiled model; run everything on
     # the reference path.
     guard = bool(campaign.device._violating or campaign.device._broken_nets)
 
-    batch: List = []  # (result slot, fault, replay cost)
+    batch: List = []  # (result slot, fault, cost)
     schedule = BatchSchedule()
 
     def flush() -> None:
@@ -294,8 +276,9 @@ def run_lane_batch(campaign, faults: Sequence[Fault], cycles: int,
         _LANE_FAULTS.inc(mode="packed")
         with span("experiment", index=index, model=fault.model.value,
                   target=fault.target.kind.value, backend="compiled"):
-            cost = _replay(campaign, fault, cycles, len(batch) + 1,
-                           schedule, pool)
+            cost = campaign.drive(
+                fault, cycles, pool,
+                LaneRun(campaign.device, schedule, len(batch) + 1))
         batch.append((position, fault, cost))
         if len(batch) >= width - 1:
             flush()

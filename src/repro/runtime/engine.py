@@ -541,19 +541,6 @@ def _assemble(jobspec: CampaignJobSpec, golden, faults: List[Fault],
     for index, fault in enumerate(faults):
         result.experiments.append(
             result_from_record(fault, records[index]))
-    # Mean emulated time covers the experiments that actually ran —
-    # statically resolved and quarantined records carry zero cost by
-    # construction (the board never completed them), matching the
-    # serial path's accounting.
-    emulated = [experiment for experiment in result.experiments
-                if not experiment.pruned
-                and not experiment.quarantined
-                and experiment.collapsed_from is None]
-    result.total_emulation_s = sum(
-        experiment.cost.total_s for experiment in emulated)
-    if emulated:
-        result.mean_emulation_s = (result.total_emulation_s
-                                   / len(emulated))
     return result
 
 

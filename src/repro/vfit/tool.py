@@ -150,9 +150,4 @@ class VfitCampaign:
         result = CampaignResult(spec_label=label, golden=golden)
         for fault in faults:
             result.experiments.append(self.run_experiment(fault, cycles))
-        result.total_emulation_s = sum(
-            e.cost.total_s for e in result.experiments)
-        if result.experiments:
-            result.mean_emulation_s = (result.total_emulation_s
-                                       / len(result.experiments))
         return result

@@ -114,6 +114,28 @@ class TestCampaignInvariants:
         assert result.mean_emulation_s == pytest.approx(
             result.total_emulation_s / 4)
 
+    def test_tally_covers_only_emulated_records(self):
+        """Pruned and quarantined records carry no emulated time and do
+        not count as emulated experiments."""
+        from repro.core.campaign import CampaignResult, ExperimentResult
+        from repro.core.timing_model import ExperimentCost
+        from repro.hdl.trace import Trace
+
+        fault = Fault(FaultModel.BITFLIP, Target(TargetKind.FF, 0),
+                      start_cycle=1)
+        ran = ExperimentCost(transfer_s=0.25, overhead_s=0.01)
+        result = CampaignResult(spec_label="tally", golden=Trace(()))
+        result.experiments = [
+            ExperimentResult(fault, Outcome.SILENT, ExperimentCost(),
+                             pruned=True),
+            ExperimentResult(fault, Outcome.QUARANTINED, ExperimentCost(),
+                             quarantined=True, error="poison"),
+            ExperimentResult(fault, Outcome.FAILURE, ran),
+        ]
+        assert result.emulated_count() == 1
+        assert result.total_emulation_s == ran.total_s
+        assert result.mean_emulation_s == ran.total_s
+
     def test_late_start_cycle_clamped(self, campaign):
         fault = Fault(FaultModel.BITFLIP, Target(TargetKind.FF, 0),
                       start_cycle=10_000)

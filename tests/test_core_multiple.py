@@ -143,6 +143,15 @@ class TestPulseEquivalence:
         assert matched == checked, (
             f"MBU equivalent diverged for {checked - matched}/{checked}")
 
+    def test_probe_runs_the_campaign_workload(self, campaign):
+        # The counter only counts with en=1; a probe that dropped the
+        # campaign's primary inputs would see the LUT 0 pulse land on
+        # an idle counter and report no flipped flip-flop.
+        equivalent = pulse_equivalent_mbu(campaign, 0, 7)
+        assert equivalent.flipped_ffs == (2, 3)
+        assert [target.index for target in equivalent.mbu.all_targets] \
+            == [2, 3]
+
     def test_footprint_can_be_multiple(self, campaign):
         widths = set()
         for lut_index in range(len(campaign.locmap.mapped.luts)):

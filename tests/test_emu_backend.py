@@ -176,6 +176,12 @@ def _assert_campaigns_equivalent(reference, compiled, faults, cycles):
             ref_exp.fault
         assert ref_exp.cost.transfer_s == pytest.approx(
             emu_exp.cost.transfer_s), ref_exp.fault
+    # The whole board log, transaction for transaction: both backends
+    # drive the same reconfiguration protocol.
+    def log(campaign):
+        return [(t.op, t.kind, t.nbytes, t.label)
+                for t in campaign.board.transactions]
+    assert log(reference) == log(compiled)
 
 
 DESIGNS = {
