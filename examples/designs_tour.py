@@ -14,11 +14,13 @@ Three vignettes:
 Run:  python examples/designs_tour.py
 """
 
+from contextlib import nullcontext
+
 from repro.core import (Fault, FaultLoadSpec, FaultModel, FadesCampaign,
                         Target, TargetKind)
+from repro.core.campaign import DeviceRun
 from repro.designs import counter, fir_filter, tmr_counter, uart_tx
 from repro.fpga import Board, implement
-from repro.hdl import NetlistSim
 from repro.hdl.vcd import VcdWriter
 from repro.synth import synthesize
 
@@ -51,6 +53,28 @@ def fir_vignette() -> None:
     print("   -> arithmetic faults propagate readily to the output\n")
 
 
+class VcdRun(DeviceRun):
+    """Figure-1 executor that samples the UART's signals every cycle.
+
+    It always starts from reset: the waveform covers the whole run, so
+    there is no fault-free prefix to fast-forward over.
+    """
+
+    def __init__(self, campaign, cycles):
+        super().__init__(campaign, cycles)
+        self.writer = VcdWriter(["txd", "busy", "state", "shifter"],
+                                timescale="25 ns")
+
+    def begin(self, start):
+        self.device.reset_system()
+        return nullcontext()
+
+    def advance(self, cycle):
+        while self.cycle < cycle:
+            super().advance(self.cycle + 1)
+            self.writer.sample(self.device)
+
+
 def uart_vignette() -> None:
     print("3) UART TX: golden vs faulty frame as VCD waveforms")
     netlist = uart_tx(divider=3)
@@ -58,25 +82,13 @@ def uart_vignette() -> None:
     cycles = 36
 
     def record(vcd_path, fault=None):
-        writer = VcdWriter(["txd", "busy", "state", "shifter"],
-                           timescale="25 ns")
-        device = campaign.device
+        run = VcdRun(campaign, cycles)
         if fault is None:
-            device.reset_system()
-            injection = None
+            with run.begin(0):
+                run.advance(cycles)
         else:
-            device.reset_system()
-            injection = campaign.injector.prepare(fault)
-        for cycle in range(cycles):
-            if injection is not None and cycle == fault.start_cycle:
-                injection.inject()
-            device.step(campaign.inputs if cycle == 0 else None)
-            writer.sample(device)
-        if injection is not None:
-            injection.remove()
-            campaign._restore_configuration()
-        writer.write(vcd_path)
-        return writer
+            campaign.drive(fault, cycles, 0, run)
+        run.writer.write(vcd_path)
 
     record("uart_golden.vcd")
     shifter_ff = campaign.locmap.signal("shifter").bits[0].index

@@ -571,7 +571,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
         from .runtime.journal import read_journal
         state = read_journal(args.alerts)
         alerts = [{key: value for key, value in entry.items()
-                   if key not in ("type", "crc")}
+                   if key != "type"}
                   for entry in state.alerts]
         if tsdb is None and os.path.exists(tsdb_path_for(args.alerts)):
             tsdb = tsdb_path_for(args.alerts)

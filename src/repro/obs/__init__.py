@@ -14,8 +14,8 @@ own injection pipeline:
 * :mod:`~repro.obs.summary` — ``repro obs summarize``, the per-phase /
   per-mechanism time table comparable to the paper's Table 2;
 * :mod:`~repro.obs.timeseries` — the campaign time-series sampler and
-  its crash-safe ``.tsdb`` sidecar (also home of the CRC-per-line
-  convention the journal shares);
+  its crash-safe ``.tsdb`` sidecar (a :mod:`repro.sealedlog`, like the
+  journal);
 * :mod:`~repro.obs.alerts` — declarative threshold alert rules over
   the sample stream (``--alert`` / ``--alert-rules``);
 * :mod:`~repro.obs.server` — the ``--serve-obs`` HTTP exporter
@@ -34,7 +34,7 @@ from .profile import PhaseProfiler
 from .server import ObsServer
 from .summary import (render_summary, summarize_timeseries,
                       summarize_trace)
-from .timeseries import TimeseriesSampler, TsdbWriter, read_tsdb
+from .timeseries import TimeseriesSampler, read_tsdb
 from .tracing import (TRACER, Tracer, TraceWriter, read_trace, span,
                       write_trace)
 
@@ -47,5 +47,5 @@ __all__ = [
     "PhaseProfiler", "summarize_trace", "summarize_timeseries",
     "render_summary",
     "AlertEngine", "AlertEvent", "AlertRule", "built_in_rules",
-    "ObsServer", "TimeseriesSampler", "TsdbWriter", "read_tsdb",
+    "ObsServer", "TimeseriesSampler", "read_tsdb",
 ]

@@ -294,7 +294,7 @@ class AlertEngine:
         """Adopt journalled alert lines from a previous run segment."""
         for entry in events:
             record = {key: value for key, value in entry.items()
-                      if key not in ("type", "crc")}
+                      if key != "type"}
             record["replayed"] = True
             self.history.append(record)
 

@@ -9,10 +9,9 @@ sampling), throttled to a minimum spacing, and land in two places:
 
 * a bounded in-memory ring buffer, which feeds the ``/status`` endpoint
   and the ``repro top`` sparkline;
-* an append-only ``<journal>.tsdb`` JSONL sidecar using the journal's
-  CRC-per-line convention (:func:`line_crc` / :func:`seal_line` live
-  here and :mod:`repro.runtime.journal` imports them), so a crashed
-  campaign leaves a loadable series and a resumed one extends it.
+* an append-only ``<journal>.tsdb`` sidecar in the journal's sealed-log
+  format (:mod:`repro.sealedlog`), so a crashed campaign leaves a
+  loadable series and a resumed one extends it.
 
 Unlike the journal, the time series is advisory telemetry: a corrupt
 line anywhere is *dropped* on read rather than refused — losing a
@@ -21,12 +20,11 @@ sample never loses a result.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .. import sealedlog
 from ..errors import ObservabilityError
 from . import metrics as obs_metrics
 
@@ -64,75 +62,6 @@ COUNTER_FIELDS: Dict[str, str] = {
 }
 
 
-def line_crc(entry: Dict[str, Any]) -> str:
-    """CRC32 (hex) of an entry's canonical JSON, minus the crc itself."""
-    payload = {key: value for key, value in entry.items() if key != "crc"}
-    canonical = json.dumps(payload, sort_keys=True)
-    return format(zlib.crc32(canonical.encode("utf-8")), "08x")
-
-
-def seal_line(entry: Dict[str, Any]) -> str:
-    """Serialise one journal/tsdb entry with its integrity checksum."""
-    sealed = dict(entry)
-    sealed["crc"] = line_crc(entry)
-    return json.dumps(sealed, sort_keys=True)
-
-
-def verify_line(raw: str) -> Optional[Dict[str, Any]]:
-    """Parse one sealed line; ``None`` when torn or CRC-mismatched."""
-    try:
-        entry = json.loads(raw)
-    except ValueError:
-        return None
-    if not isinstance(entry, dict):
-        return None
-    if "crc" in entry and entry["crc"] != line_crc(entry):
-        return None
-    return entry
-
-
-class TsdbWriter:
-    """Appends sealed sample lines with per-append durability.
-
-    Mirrors :class:`repro.runtime.journal.JournalWriter`'s torn-tail
-    discipline: opening truncates a partial final line in place so a
-    crash signature never glues onto the next sample.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._truncate_torn_tail()
-        self._handle = open(path, "a", encoding="utf-8")
-
-    def _truncate_torn_tail(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        if not data or data.endswith(b"\n"):
-            return
-        keep = data.rfind(b"\n") + 1  # 0 when no complete line exists
-        with open(self.path, "r+b") as handle:
-            handle.truncate(keep)
-
-    def append(self, sample: Dict[str, Any]) -> None:
-        self._handle.write(seal_line(sample) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "TsdbWriter":
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        self.close()
-
-
 def read_tsdb(path: str) -> Tuple[List[Dict[str, Any]], int]:
     """Read a time-series sidecar: ``(samples, dropped_lines)``.
 
@@ -142,19 +71,8 @@ def read_tsdb(path: str) -> Tuple[List[Dict[str, Any]], int]:
     """
     if not os.path.exists(path):
         raise ObservabilityError(f"{path}: no such time-series file")
-    samples: List[Dict[str, Any]] = []
-    dropped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if not raw:
-                continue
-            entry = verify_line(raw)
-            if entry is None:
-                dropped += 1
-                continue
-            samples.append(entry)
-    return samples, dropped
+    samples, scan = sealedlog.scan(path)
+    return samples, len(scan.issues)
 
 
 def tsdb_path_for(journal: str) -> str:
@@ -183,7 +101,7 @@ class TimeseriesSampler:
         self.capacity = max(2, capacity)
         self._clock = clock
         self._registry = registry
-        self._writer = TsdbWriter(path) if path else None
+        self._writer = sealedlog.SealedWriter(path) if path else None
         self._started = clock()
         self._last_t: Optional[float] = None
         self._last_n = 0

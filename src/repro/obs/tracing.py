@@ -33,9 +33,9 @@ Design points:
   ``"X"`` (complete) phase; the file layout is a JSON array written one
   event per line, which both ``chrome://tracing`` and Perfetto load
   (the closing bracket is optional in the Trace Event format) and which
-  behaves like an append-only JSONL journal: a torn tail line — the
-  crash signature — is dropped on read, exactly like
-  :mod:`repro.runtime.journal` does.
+  behaves like an append-only journal: a torn tail line — the crash
+  signature — is dropped on read and cut before a resumed campaign
+  appends (:func:`repro.sealedlog.cut`).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from contextlib import contextmanager
 from typing import (Any, Callable, ContextManager, Dict, Iterator,
                     List, Optional)
 
+from .. import sealedlog
 from ..errors import ObservabilityError
 
 #: ``tid`` used for spans recorded by the campaign's parent process.
@@ -183,13 +184,15 @@ class TraceWriter:
     The engine keeps one of these open next to the journal (the *trace
     sidecar*) so a crashed campaign still leaves a loadable trace of
     everything that finished; ``append=True`` lets a resumed campaign
-    extend the same file.
+    extend the same file, after cutting a line the crash left unfinished.
     """
 
     def __init__(self, path: str, append: bool = False) -> None:
         self.path = path
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
+        if append and os.path.exists(path):
+            sealedlog.cut(path)
         fresh = (not append or not os.path.exists(path)
                  or os.path.getsize(path) == 0)
         self._handle = open(path, "a" if append else "w",

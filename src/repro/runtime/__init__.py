@@ -8,8 +8,9 @@ this subsystem makes the reproduction's campaigns fast *and durable*:
 * :mod:`repro.runtime.scheduler` — shard planning and the worker pool
   (crash detection, retry, respawn);
 * :mod:`repro.runtime.journal` — the append-only JSONL result store
-  enabling crash-safe checkpoint/resume, with per-line CRC integrity
-  checking (``repro journal fsck``);
+  enabling crash-safe checkpoint/resume; its lines are sealed and
+  checked by the stdlib-only :mod:`repro.sealedlog` leaf module
+  (``repro journal fsck``);
 * :mod:`repro.runtime.diskcache` — opt-in on-disk caches
   (``REPRO_CACHE_DIR``) with atomic writes and stale-lock recovery;
 * :mod:`repro.runtime.metrics` — throughput and per-phase wall-clock
@@ -33,9 +34,9 @@ from .engine import resume_campaign, run_campaign
 from .jobspec import (CampaignJobSpec, DEFAULT_CHECKPOINT_INTERVAL,
                       JobRunner, build_campaign, derive_fault_seed,
                       record_from_result, result_from_record)
-from .journal import (JOURNAL_VERSION, JournalScan, JournalState,
-                      JournalWriter, check_compatible, read_journal,
-                      repair_journal, scan_journal)
+from .journal import (JOURNAL_VERSION, JournalState, JournalWriter,
+                      check_compatible, read_journal, repair_journal,
+                      scan_journal)
 from .liveobs import CampaignObservability
 from .metrics import CampaignMetrics, MetricsSnapshot, ProgressCallback
 from .scheduler import MAX_SHARD_SIZE, Shard, WorkerPool, plan_shards
@@ -51,7 +52,6 @@ __all__ = [
     "record_from_result",
     "result_from_record",
     "JOURNAL_VERSION",
-    "JournalScan",
     "JournalState",
     "JournalWriter",
     "check_compatible",

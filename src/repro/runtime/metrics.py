@@ -33,8 +33,6 @@ _PHASE_SECONDS = obs_metrics.histogram(
     buckets=(0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0))
 _RECORDS = obs_metrics.counter(
     "campaign_records_total", "Journal records accounted, by outcome.")
-_RETRIES = obs_metrics.counter(
-    "campaign_retries_total", "Shard retries after worker failures.")
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,6 @@ class CampaignMetrics:
 
     def add_retry(self, count: int = 1) -> None:
         self.retries += count
-        _RETRIES.inc(count)
 
     # -- reporting -----------------------------------------------------
     def snapshot(self) -> MetricsSnapshot:

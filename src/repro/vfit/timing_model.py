@@ -20,7 +20,6 @@ VHDL simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,9 @@ class VfitTimeModel:
                  params: VfitTimingParams = VfitTimingParams()):
         self.elements = elements
         self.params = params
-        self.costs: List[VfitExperimentCost] = []
+        #: Running total and count of the recorded experiments.
+        self.total_seconds = 0.0
+        self.experiments = 0
 
     def record(self, cycles: int) -> VfitExperimentCost:
         """Record one experiment of *cycles* simulated clock cycles."""
@@ -63,17 +64,14 @@ class VfitTimeModel:
             simulate_s=(cycles * self.elements
                         * self.params.seconds_per_element_cycle),
             overhead_s=self.params.experiment_overhead_s)
-        self.costs.append(cost)
+        self.total_seconds += cost.total_s
+        self.experiments += 1
         return cost
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(cost.total_s for cost in self.costs)
-
     def mean_seconds(self) -> float:
-        if not self.costs:
+        if not self.experiments:
             return 0.0
-        return self.total_seconds / len(self.costs)
+        return self.total_seconds / self.experiments
 
     def project(self, n_faults: int) -> float:
         """Extrapolate to a paper-scale campaign of *n_faults*."""

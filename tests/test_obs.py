@@ -148,6 +148,18 @@ class TestTraceFile:
         names = [event["name"] for event in read_trace(path)]
         assert names == ["first", "second"]
 
+    def test_append_mode_cuts_a_torn_tail_first(self, tmp_path):
+        path = str(tmp_path / "trace.json")
+        with TraceWriter(path) as writer:
+            writer.write([{"name": "first", "ph": "X"}])
+        with open(path, "a") as handle:
+            handle.write('{"name": "torn", "ph"')  # crash mid-write
+        with TraceWriter(path, append=True) as writer:
+            writer.write([{"name": "second", "ph": "X"},
+                          {"name": "third", "ph": "X"}])
+        names = [event["name"] for event in read_trace(path)]
+        assert names == ["first", "second", "third"]
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ObservabilityError):
             read_trace(str(tmp_path / "absent.json"))

@@ -30,11 +30,11 @@ from repro.obs.live import (outcome_bar, render_dashboard, run_top,
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.rundiff import diff_runs, load_profile
 from repro.obs.server import ObsServer, parse_serve_spec
-from repro.obs.timeseries import (TimeseriesSampler, TsdbWriter,
-                                  line_crc, read_tsdb, seal_line,
+from repro.obs.timeseries import (TimeseriesSampler, read_tsdb,
                                   tsdb_path_for)
 from repro.runtime import CampaignJobSpec, read_journal, run_campaign
 from repro.runtime.metrics import MetricsSnapshot
+from repro.sealedlog import SealedWriter, line_crc
 
 COUNT = 8
 
@@ -75,48 +75,22 @@ def snap(completed=0, skipped=0, total=COUNT, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# .tsdb sidecar: sealed lines, torn tails, advisory reads
+# .tsdb sidecar: sealed lines (torn tails and interior damage are
+# covered for both sealed formats in test_sealedlog.py)
 # ---------------------------------------------------------------------------
 class TestTsdb:
     def test_roundtrip_preserves_samples(self, tmp_path):
         path = str(tmp_path / "run.tsdb")
-        with TsdbWriter(path) as writer:
+        with SealedWriter(path) as writer:
             writer.append({"t": 0.5, "n": 1, "outcomes": {"latent": 1}})
             writer.append({"t": 1.5, "n": 2, "outcomes": {"latent": 2}})
         samples, dropped = read_tsdb(path)
         assert dropped == 0
         assert [sample["n"] for sample in samples] == [1, 2]
         assert samples[0]["outcomes"] == {"latent": 1}
-        assert all(sample["crc"] == line_crc(sample)
-                   for sample in samples)
-
-    def test_torn_tail_is_dropped_then_truncated(self, tmp_path):
-        path = str(tmp_path / "run.tsdb")
-        with TsdbWriter(path) as writer:
-            writer.append({"t": 0.0, "n": 1})
-            writer.append({"t": 1.0, "n": 2})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"t": 2.0, "n"')  # crash mid-append
-        samples, dropped = read_tsdb(path)
-        assert [sample["n"] for sample in samples] == [1, 2]
-        assert dropped == 1
-        # Reopening for append truncates the torn tail in place, so the
-        # next sample never glues onto the crash signature.
-        with TsdbWriter(path) as writer:
-            writer.append({"t": 2.0, "n": 3})
-        samples, dropped = read_tsdb(path)
-        assert [sample["n"] for sample in samples] == [1, 2, 3]
-        assert dropped == 0
-
-    def test_interior_corruption_costs_one_sample_not_the_file(
-            self, tmp_path):
-        path = str(tmp_path / "run.tsdb")
-        lines = [seal_line({"t": float(i), "n": i}) for i in range(3)]
-        lines[1] = lines[1].replace('"n": 1', '"n": 9')  # CRC now wrong
-        (tmp_path / "run.tsdb").write_text("\n".join(lines) + "\n")
-        samples, dropped = read_tsdb(path)
-        assert [sample["n"] for sample in samples] == [0, 2]
-        assert dropped == 1
+        on_disk = [json.loads(line) for line in open(path)]
+        assert len(on_disk) == 2
+        assert all(line["crc"] == line_crc(line) for line in on_disk)
 
     def test_missing_file_is_refused(self, tmp_path):
         with pytest.raises(ObservabilityError):
@@ -280,11 +254,10 @@ class TestAlertRules:
 
     def test_replayed_journal_lines_are_marked(self):
         engine = AlertEngine()
-        engine.replay([{"type": "alert", "rule": "old", "t": 4.0,
-                        "crc": "xx"}])
+        engine.replay([{"type": "alert", "rule": "old", "t": 4.0}])
         entry = engine.history[0]
         assert entry["rule"] == "old" and entry["replayed"] is True
-        assert "crc" not in entry and "type" not in entry
+        assert "type" not in entry
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +446,7 @@ class TestDashboard:
 class TestRunDiff:
     @staticmethod
     def _write_tsdb(path, throughputs):
-        with TsdbWriter(str(path)) as writer:
+        with SealedWriter(str(path)) as writer:
             for i, rate in enumerate(throughputs):
                 writer.append({
                     "t": float(i), "n": i + 1, "throughput": rate,
